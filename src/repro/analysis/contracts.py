@@ -13,9 +13,12 @@ layer can depend on it without cycles.
 
 from __future__ import annotations
 
+import math
+
 __all__ = [
     "is_power_of_two",
     "require",
+    "require_finite",
     "require_positive",
     "require_non_negative",
     "require_power_of_two",
@@ -33,6 +36,17 @@ def require(condition: bool, owner: str, field: str, message: str) -> None:
     """Raise ``ValueError`` naming ``owner.field`` unless ``condition``."""
     if not condition:
         raise ValueError(f"{owner}.{field}: {message}")
+
+
+def require_finite(owner: str, **fields: float) -> None:
+    """Every named field must be a finite number: not NaN, not ±inf.
+
+    Comparison guards such as ``value > 0`` admit ``inf`` and, written
+    as ``if value <= 0: raise``, admit NaN too; either can then drive an
+    arrival loop that never ends.
+    """
+    for name, value in fields.items():
+        require(math.isfinite(value), owner, name, f"must be finite, got {value!r}")
 
 
 def require_positive(owner: str, **fields: float) -> None:

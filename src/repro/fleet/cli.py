@@ -315,17 +315,20 @@ def main(argv: list[str] | None = None) -> int:
         parser.error(str(exc))
 
     if args.capacity:
-        points = run_capacity_planning(
-            pools=pools,
-            fleet_sizes=sizes,
-            rate_per_instance_per_s=args.rate,
-            horizon_s=args.horizon_s,
-            slo_s=args.slo_ms * 1e-3,
-            seed=args.seed,
-            router=args.router,
-            shards=args.shards,
-            workers=args.jobs,
-        )
+        try:
+            points = run_capacity_planning(
+                pools=pools,
+                fleet_sizes=sizes,
+                rate_per_instance_per_s=args.rate,
+                horizon_s=args.horizon_s,
+                slo_s=args.slo_ms * 1e-3,
+                seed=args.seed,
+                router=args.router,
+                shards=args.shards,
+                workers=args.jobs,
+            )
+        except ValueError as exc:
+            parser.error(str(exc))
         print(format_capacity(points))
         if args.json:
             document = [
@@ -346,11 +349,10 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         config = build_fleet(args)
+        arrivals = build_trace(args, config.pools[0].workload)
     except ValueError as exc:
         parser.error(str(exc))
     store = ResultStore(args.cache_dir) if args.cache_dir is not None else None
-    workload = config.pools[0].workload
-    arrivals = build_trace(args, workload)
     if args.shards == 1:
         from .cluster import simulate_fleet
 

@@ -19,6 +19,35 @@ a pure function of ``(config, arrival stream)``: two same-seed runs
 produce byte-identical :class:`~repro.fleet.ledger.FleetLedger`
 documents.
 
+The loop is event-driven: at an event it advances only the instances
+that can change then, not the whole fleet.  :meth:`Instance.advance
+<repro.fleet.instance.Instance.advance>` is a no-op for an instance with
+nothing due, so advancing any superset of the due instances yields the
+same bytes as advancing all of them.  The due set at ``now`` is the
+union of
+
+- the instances whose next internal event (completion or batch wake)
+  is at ``now`` — a min-heap keyed by ``next_event_s`` with lazy
+  deletion, whose valid top is also the loop's next instance event.  It
+  looks one ulp past ``now``: the dynamic batcher's window check
+  ``now - arrival >= max_wait`` can pass one ulp before its wake time
+  ``arrival + max_wait``;
+- the instances holding a queued deadline earlier than ``now`` — a
+  second heap — so every expiry is stamped at the first event after its
+  deadline, as a full sweep would stamp it;
+- the idle instances with queued work and no wake event.  The same
+  float disagreement can leave the window check failing *at* the wake
+  time, after which no event of the instance's own is pending; such an
+  instance, and a static batch waiting to fill, is advanced at every
+  event until it dispatches;
+- the instances this step's arrivals were routed to (advanced after
+  routing, as the arrivals may complete a batch).
+
+The whole live fleet is still swept where a sweep is the semantics:
+when the arrival stream runs out (``draining`` flips, and partial
+batches everywhere may flush), in the end-of-stream branch, and — for
+re-indexing only — after an autoscale tick.
+
 Once the arrival stream is exhausted the fleet drains: every advance
 passes ``draining=True`` so partial batches flush, and the loop ends
 when no instance holds work.  Instances draining for the *autoscaler*
@@ -29,11 +58,13 @@ running at the end is finalized at the global end time.
 from __future__ import annotations
 
 import dataclasses
+import heapq
+import itertools
 import math
 
 from ..analysis.contracts import require
 from ..jobs.store import ResultStore
-from ..serve.requests import Request
+from ..serve.requests import Request, require_unique_ids
 from .autoscale import AutoscaleConfig, plan_scaling
 from .instance import Instance, InstanceState
 from .ledger import FleetLedger, InstanceLedger
@@ -106,6 +137,17 @@ class FleetSimulator:
         self._next_id = {pool.name: 0 for pool in config.pools}
         #: every instance ever spawned, including stopped ones.
         self.instances: list[Instance] = []
+        self._live_list: list[Instance] | None = None
+        self._routable_list: list[Instance] | None = None
+        # Event index: (time, seq, instance) heaps whose valid entry per
+        # instance is the one recorded in the matching ``(time, seq)``
+        # map; superseded entries are skipped when they surface.
+        self._seq = itertools.count()
+        self._wakes: list[tuple[float, int, Instance]] = []
+        self._wake_at: dict[Instance, tuple[float, int]] = {}
+        self._deadlines: list[tuple[float, int, Instance]] = []
+        self._deadline_at: dict[Instance, tuple[float, int]] = {}
+        self._idle: set[Instance] = set()
         for pool in config.pools:
             for _ in range(pool.instances):
                 self._spawn(pool.name, 0.0)
@@ -127,17 +169,28 @@ class FleetSimulator:
         self._next_id[pool_name] += 1
         self.instances.append(instance)
         self.instances.sort(key=lambda inst: inst.key)
+        self._invalidate()
         return instance
 
+    def _invalidate(self) -> None:
+        self._live_list = None
+        self._routable_list = None
+
     def _live(self) -> list[Instance]:
-        return [
-            inst
-            for inst in self.instances
-            if inst.state is not InstanceState.STOPPED
-        ]
+        if self._live_list is None:
+            self._live_list = [
+                inst
+                for inst in self.instances
+                if inst.state is not InstanceState.STOPPED
+            ]
+        return self._live_list
 
     def _routable(self) -> list[Instance]:
-        return [inst for inst in self.instances if inst.routable]
+        if self._routable_list is None:
+            self._routable_list = [
+                inst for inst in self.instances if inst.routable
+            ]
+        return self._routable_list
 
     def _apply_scaling(self, now_s: float) -> None:
         pools: dict[str, list[Instance]] = {
@@ -158,12 +211,103 @@ class FleetSimulator:
                 for inst in pools[action.pool]:
                     if inst.instance_id == action.instance_id:
                         inst.begin_drain(now_s)
+                        self._invalidate()
+
+    # ------------------------------------------------------------------
+    # the event index
+    # ------------------------------------------------------------------
+    def _rekey(
+        self,
+        heap: list[tuple[float, int, Instance]],
+        entries: dict[Instance, tuple[float, int]],
+        inst: Instance,
+        at_s: float,
+    ) -> None:
+        current = entries.get(inst)
+        if current is not None and current[0] == at_s:
+            return  # the valid entry already says so
+        if at_s == math.inf:
+            entries.pop(inst, None)
+            return
+        seq = next(self._seq)
+        entries[inst] = (at_s, seq)
+        heapq.heappush(heap, (at_s, seq, inst))
+
+    def _index(self, inst: Instance, now_s: float) -> None:
+        """Re-key ``inst`` after anything may have changed its state."""
+        wake_s = inst.next_event_s(now_s)
+        self._rekey(self._wakes, self._wake_at, inst, wake_s)
+        deadline_s = inst.executor.queue.next_deadline_s
+        self._rekey(
+            self._deadlines,
+            self._deadline_at,
+            inst,
+            math.inf if deadline_s is None else deadline_s,
+        )
+        if (
+            wake_s == math.inf
+            and inst.state is not InstanceState.STOPPED
+            and inst.executor.queue.depth
+            and not inst.executor.in_service_count
+        ):
+            self._idle.add(inst)
+        else:
+            self._idle.discard(inst)
+        if inst.state is InstanceState.STOPPED:
+            self._invalidate()
+
+    @staticmethod
+    def _pop_due(
+        heap: list[tuple[float, int, Instance]],
+        entries: dict[Instance, tuple[float, int]],
+        limit_s: float,
+        due: set[Instance],
+    ) -> None:
+        """Move every valid entry at or before ``limit_s`` into ``due``."""
+        while heap and heap[0][0] <= limit_s:
+            at_s, seq, inst = heapq.heappop(heap)
+            if entries.get(inst) == (at_s, seq):
+                del entries[inst]
+                due.add(inst)
+
+    def _next_wake_s(self) -> float:
+        """Earliest internal event of any instance (the valid heap top)."""
+        heap = self._wakes
+        while heap:
+            at_s, seq, inst = heap[0]
+            if self._wake_at.get(inst) == (at_s, seq):
+                return at_s
+            heapq.heappop(heap)
+        return math.inf
+
+    def _due(self, now_s: float) -> list[Instance]:
+        """The instances that may change at ``now_s``, canonically ordered."""
+        due = set(self._idle)
+        self._pop_due(
+            self._wakes, self._wake_at, math.nextafter(now_s, math.inf), due
+        )
+        self._pop_due(
+            self._deadlines,
+            self._deadline_at,
+            math.nextafter(now_s, -math.inf),
+            due,
+        )
+        return sorted(due, key=lambda inst: inst.key)
+
+    def _advance(self, inst: Instance, now_s: float, draining: bool) -> None:
+        inst.advance(now_s, draining=draining)
+        self._index(inst, now_s)
+
+    def _sweep(self, now_s: float, draining: bool) -> None:
+        for inst in self._live():
+            self._advance(inst, now_s, draining)
 
     # ------------------------------------------------------------------
     # the event loop
     # ------------------------------------------------------------------
     def run(self, arrivals: list[Request]) -> FleetLedger:
         """Serve ``arrivals`` to exhaustion; return the merged ledger."""
+        require_unique_ids(arrivals)
         pending = sorted(arrivals, key=lambda r: (r.arrival_s, r.req_id))
         now_s = 0.0
         i = 0
@@ -171,37 +315,31 @@ class FleetSimulator:
         next_tick_s = autoscale.interval_s if autoscale is not None else math.inf
 
         while True:
-            live = self._live()
             draining = i >= len(pending)
             next_arrival_s = (
                 pending[i].arrival_s if i < len(pending) else math.inf
             )
-            next_instance_s = min(
-                (inst.next_event_s(now_s) for inst in live),
-                default=math.inf,
-            )
-            candidates = [next_arrival_s, next_instance_s]
-            if not draining or any(inst.backlog for inst in live):
-                candidates.append(next_tick_s)
-            event_s = min(candidates)
+            event_s = min(next_arrival_s, self._next_wake_s())
+            if not draining or any(inst.backlog for inst in self._live()):
+                event_s = min(event_s, next_tick_s)
 
             if event_s == math.inf:
-                backlog = sum(inst.backlog for inst in live)
+                backlog = sum(inst.backlog for inst in self._live())
                 if backlog:
-                    for inst in live:
-                        inst.advance(now_s, draining=True)
-                    if sum(i2.backlog for i2 in self._live()) < backlog or any(
-                        inst.executor.in_service_count
-                        for inst in self._live()
+                    self._sweep(now_s, draining=True)
+                    live = self._live()
+                    if sum(inst.backlog for inst in live) < backlog or any(
+                        inst.executor.in_service_count for inst in live
                     ):
                         continue
                 break
 
             now_s = max(now_s, event_s)
             # 1. internal events: completions, window expiries, dispatch.
-            for inst in live:
-                inst.advance(now_s, draining=draining)
+            for inst in self._due(now_s):
+                self._advance(inst, now_s, draining)
             # 2. arrivals: route each request at its own timestamp.
+            routed: set[Instance] = set()
             while i < len(pending) and pending[i].arrival_s <= now_s:
                 request = pending[i]
                 i += 1
@@ -211,18 +349,27 @@ class FleetSimulator:
                         f"no routable instance for request {request.req_id}; "
                         "pools must keep min_instances >= 1 active"
                     )
-                self.router.route(request, targets, now_s).offer(
-                    request, now_s
-                )
-            draining = i >= len(pending)
-            for inst in self._live():
-                inst.advance(now_s, draining=draining)
+                target = self.router.route(request, targets, now_s)
+                target.offer(request, now_s)
+                routed.add(target)
+            if not draining and i >= len(pending):
+                # The stream just ran out: partial batches may flush.
+                self._sweep(now_s, draining=True)
+            else:
+                for inst in sorted(routed, key=lambda inst: inst.key):
+                    self._advance(inst, now_s, draining)
             # 3. control tick.
             if autoscale is not None and now_s >= next_tick_s:
                 self._apply_scaling(now_s)
+                for inst in self._live():
+                    self._index(inst, now_s)
                 while next_tick_s <= now_s:
                     next_tick_s += autoscale.interval_s
 
+        return self._close(now_s)
+
+    def _close(self, now_s: float) -> FleetLedger:
+        """Account stranded queues, close every window, build the ledger."""
         # A policy that refuses to drain strands its queue; account for it
         # (mirrors ServeExecutor.run's stranded-queue accounting).
         for inst in self._live():

@@ -21,7 +21,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .requests import Request
+from ..analysis.contracts import require_finite, require_positive
+from .requests import Request, require_unique_ids
 
 __all__ = [
     "poisson_arrivals",
@@ -29,6 +30,13 @@ __all__ = [
     "replay_arrivals",
     "merge_streams",
 ]
+
+
+def _require_rate_and_horizon(
+    owner: str, rate_per_s: float, horizon_s: float
+) -> None:
+    require_finite(owner, rate_per_s=rate_per_s, horizon_s=horizon_s)
+    require_positive(owner, rate_per_s=rate_per_s, horizon_s=horizon_s)
 
 
 def _with_deadlines(
@@ -62,10 +70,7 @@ def poisson_arrivals(
     stream stops at the first arrival past the horizon, so the expected
     request count is ``rate_per_s * horizon_s``.
     """
-    if rate_per_s <= 0:
-        raise ValueError(f"rate_per_s must be positive, got {rate_per_s}")
-    if horizon_s <= 0:
-        raise ValueError(f"horizon_s must be positive, got {horizon_s}")
+    _require_rate_and_horizon("poisson_arrivals", rate_per_s, horizon_s)
     rng = np.random.default_rng(seed)
     times: list[float] = []
     now_s = 0.0
@@ -85,10 +90,7 @@ def uniform_arrivals(
     start_id: int = 0,
 ) -> list[Request]:
     """A perfectly paced stream: one request every ``1 / rate_per_s``."""
-    if rate_per_s <= 0:
-        raise ValueError(f"rate_per_s must be positive, got {rate_per_s}")
-    if horizon_s <= 0:
-        raise ValueError(f"horizon_s must be positive, got {horizon_s}")
+    _require_rate_and_horizon("uniform_arrivals", rate_per_s, horizon_s)
     gap_s = 1.0 / rate_per_s
     count = int(horizon_s * rate_per_s)
     times = [i * gap_s for i in range(count) if i * gap_s < horizon_s]
@@ -118,9 +120,5 @@ def merge_streams(*streams: list[Request]) -> list[Request]:
     """
     merged = [request for stream in streams for request in stream]
     merged.sort(key=lambda r: (r.arrival_s, r.req_id))
-    seen: set[int] = set()
-    for request in merged:
-        if request.req_id in seen:
-            raise ValueError(f"duplicate req_id {request.req_id} across streams")
-        seen.add(request.req_id)
+    require_unique_ids(merged)
     return merged

@@ -37,7 +37,7 @@ from .batching import BatchPolicy
 from .costs import NetworkCostModel
 from .metrics import ServeMetrics
 from .queueing import BoundedQueue
-from .requests import Request
+from .requests import Request, require_unique_ids
 from .residency import ResidencyTracker
 
 __all__ = ["ServeExecutor"]
@@ -82,6 +82,7 @@ class ServeExecutor:
                     f"{request.workload!r} but no cost model is registered "
                     f"(have {sorted(self.models)})"
                 )
+        require_unique_ids(arrivals)
         pending = sorted(arrivals, key=lambda r: (r.arrival_s, r.req_id))
         metrics = ServeMetrics(slo_s=self.slo_s)
         now_s = 0.0

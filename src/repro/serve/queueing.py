@@ -20,6 +20,7 @@ dropped + in flight) is asserted by the metrics collector at every event.
 from __future__ import annotations
 
 import bisect
+import heapq
 
 from .requests import Request
 
@@ -31,6 +32,15 @@ class BoundedQueue:
 
     Subclasses define the service order via :meth:`_sort_key`; everything
     else — capacity, counters, expiry — is shared.
+
+    Queued deadlines sit in a ``(deadline_s, id(request), request)``
+    min-heap beside the service-ordered list.  A request leaving through
+    :meth:`take` only leaves the live count; its heap entry is deleted
+    lazily, when it reaches the top or when dead entries outnumber live
+    ones.  So :meth:`expire` is O(1) when nothing is due, and it removes
+    exactly the request objects whose deadlines passed, whatever their
+    ids.  (An entry holds its request, so no other object can take over
+    that identity while the entry is in the heap.)
     """
 
     def __init__(self, capacity: int) -> None:
@@ -38,11 +48,11 @@ class BoundedQueue:
             raise ValueError(f"queue capacity must be >= 1, got {capacity}")
         self.capacity = capacity
         self._items: list[Request] = []
+        self._deadlines: list[tuple[float, int, Request]] = []
+        #: id(request) -> queued copies of it that carry a deadline.
+        self._live: dict[int, int] = {}
         self.admitted = 0
         self.rejected = 0
-        #: queued requests carrying a deadline; lets :meth:`expire` skip
-        #: the scan entirely on deadline-free streams (the common case).
-        self._deadline_count = 0
 
     @staticmethod
     def _sort_key(request: Request) -> tuple:
@@ -58,14 +68,30 @@ class BoundedQueue:
         if len(self._items) >= self.capacity:
             self.rejected += 1
             return False
-        # Sort keys end in the unique req_id, so the sorted order is
-        # unique and a binary insertion lands exactly where the full
-        # re-sort used to put it — same order, O(log n) search.
+        # Sort keys end in the req_id, so the sorted order is unique and
+        # a binary insertion lands exactly where a full re-sort would.
         bisect.insort(self._items, request, key=self._sort_key)
         self.admitted += 1
         if request.deadline_s is not None:
-            self._deadline_count += 1
+            key = id(request)
+            heapq.heappush(self._deadlines, (request.deadline_s, key, request))
+            self._live[key] = self._live.get(key, 0) + 1
         return True
+
+    def _release(self, key: int) -> None:
+        count = self._live.pop(key)
+        if count > 1:
+            self._live[key] = count - 1
+
+    def _shrink(self) -> None:
+        """Rebuild the deadline heap once dead entries outnumber live ones.
+
+        This keeps the heap O(depth) however long the run.
+        """
+        heap = self._deadlines
+        if len(heap) > 2 * len(self._live) + 8:
+            heap[:] = [entry for entry in heap if entry[1] in self._live]
+            heapq.heapify(heap)
 
     def oldest(self) -> Request | None:
         """The request that would be served next, or ``None`` if empty."""
@@ -75,19 +101,31 @@ class BoundedQueue:
         """The waiting requests in service order (no removal)."""
         return tuple(self._items)
 
+    @property
+    def next_deadline_s(self) -> float | None:
+        """Earliest deadline among the waiting requests, else ``None``."""
+        heap = self._deadlines
+        while heap and heap[0][1] not in self._live:
+            heapq.heappop(heap)
+        return heap[0][0] if heap else None
+
     def expire(self, now_s: float) -> list[Request]:
-        """Remove and return every request whose deadline has passed."""
-        if not self._deadline_count:
+        """Remove and return every request whose deadline has passed.
+
+        The expired requests come back in service order.
+        """
+        heap = self._deadlines
+        gone: set[int] = set()
+        while heap and heap[0][0] < now_s:
+            key = heapq.heappop(heap)[1]
+            if key in self._live:
+                self._release(key)
+                gone.add(key)
+        if not gone:
             return []
-        expired = [
-            r
-            for r in self._items
-            if r.deadline_s is not None and r.deadline_s < now_s
-        ]
-        if expired:
-            gone = {r.req_id for r in expired}
-            self._items = [r for r in self._items if r.req_id not in gone]
-            self._deadline_count -= len(expired)
+        expired = [r for r in self._items if id(r) in gone]
+        self._items = [r for r in self._items if id(r) not in gone]
+        self._shrink()
         return expired
 
     def take(self, max_count: int, workload: str | None = None) -> list[Request]:
@@ -107,12 +145,12 @@ class BoundedQueue:
                 workload is None or request.workload == workload
             ):
                 taken.append(request)
+                if request.deadline_s is not None:
+                    self._release(id(request))
             else:
                 rest.append(request)
         self._items = rest
-        self._deadline_count -= sum(
-            1 for r in taken if r.deadline_s is not None
-        )
+        self._shrink()
         return taken
 
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 import dataclasses
 import enum
 
-__all__ = ["Request", "RequestStatus", "RequestRecord"]
+__all__ = ["Request", "RequestStatus", "RequestRecord", "require_unique_ids"]
 
 
 class RequestStatus(enum.Enum):
@@ -93,3 +93,16 @@ class RequestRecord:
             energy_j=data["energy_j"],
             slo_met=data["slo_met"],
         )
+
+
+def require_unique_ids(requests: list[Request]) -> None:
+    """Raise ``ValueError`` naming the first ``req_id`` seen twice.
+
+    Queues, ledgers and shard routing all key requests by id, so a
+    stream that repeats one is rejected before any event is simulated.
+    """
+    seen: set[int] = set()
+    for request in requests:
+        if request.req_id in seen:
+            raise ValueError(f"duplicate req_id {request.req_id} in the request stream")
+        seen.add(request.req_id)

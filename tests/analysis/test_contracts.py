@@ -7,6 +7,7 @@ import pytest
 from repro.analysis.contracts import (
     is_power_of_two,
     require_at_most,
+    require_finite,
     require_in_range,
     require_non_negative,
     require_positive,
@@ -34,6 +35,12 @@ class TestHelpers:
             require_in_range("Thing", "r", 1.5, 0.0, 1.0)
         with pytest.raises(ValueError, match=r"Thing\.ebt: must be <= bits"):
             require_at_most("Thing", "ebt", 9, 8, "bits")
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    def test_require_finite_rejects_nan_and_inf(self, value):
+        with pytest.raises(ValueError, match=r"Thing\.rate: must be finite"):
+            require_finite("Thing", ok=1.0, rate=value)
+        require_finite("Thing", zero=0.0, tiny=5e-324, big=1e300, neg=-1.0)
 
 
 class TestArrayConfigValidate:

@@ -1,6 +1,10 @@
 """The ``python -m repro.fleet`` CLI: both modes, determinism, usage errors."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -88,3 +92,30 @@ def test_bad_arguments_are_usage_errors(argv):
     with pytest.raises(SystemExit) as excinfo:
         main(argv)
     assert excinfo.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "argv,field",
+    [
+        (["--rate", "nan", "--horizon-s", "0.1"], "rate_per_s"),
+        (["--horizon-s", "nan"], "duration_s"),
+        (["--trace", "flash", "--horizon-s", "nan"], "horizon_s"),
+        (["--trace", "diurnal", "--period-s", "inf"], "period_s"),
+        (["--capacity", "--fleet-sizes", "1", "--rate", "inf"], "rate_per_s"),
+    ],
+)
+def test_non_finite_numbers_exit_2_naming_the_field(argv, field):
+    # NaN slips past ``x <= 0`` guards and inf past ``x > 0``; either
+    # used to hang the arrival generator or yield an empty "success".
+    src = Path(__file__).resolve().parents[2] / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = f"{src}{os.pathsep}" + env.get("PYTHONPATH", "")
+    proc = subprocess.run(
+        [sys.executable, "-m", "repro.fleet", *argv],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert field in proc.stderr and "must be finite" in proc.stderr

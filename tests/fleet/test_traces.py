@@ -84,3 +84,21 @@ def test_flash_crowd_spikes_in_its_window():
         flash_crowd_arrivals("net", 5.0, 50.0, -0.1, 0.2, 1.0, seed=0)
     with pytest.raises(ValueError, match="exceeds horizon"):
         flash_crowd_arrivals("net", 5.0, 50.0, 0.9, 0.2, 1.0, seed=0)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_shaped_traces_reject_non_finite_numbers(bad):
+    with pytest.raises(ValueError, match="duration_s: must be finite"):
+        piecewise_poisson_arrivals("net", [(bad, 10.0)], seed=0)
+    with pytest.raises(ValueError, match="rate_per_s: must be finite"):
+        piecewise_poisson_arrivals("net", [(1.0, bad)], seed=0)
+    with pytest.raises(ValueError, match="period_s: must be finite"):
+        diurnal_arrivals("net", 1.0, 2.0, bad, 1.0, seed=0)
+    with pytest.raises(ValueError, match="horizon_s: must be finite"):
+        diurnal_arrivals("net", 1.0, 2.0, 1.0, bad, seed=0)
+    with pytest.raises(ValueError, match="peak_rate_per_s: must be finite"):
+        diurnal_arrivals("net", 1.0, bad, 1.0, 1.0, seed=0)
+    with pytest.raises(ValueError, match="horizon_s: must be finite"):
+        flash_crowd_arrivals("net", 5.0, 50.0, 0.1, 0.2, bad, seed=0)
+    with pytest.raises(ValueError, match="spike_rate_per_s: must be finite"):
+        flash_crowd_arrivals("net", 5.0, bad, 0.1, 0.2, 1.0, seed=0)

@@ -71,3 +71,15 @@ def test_generator_argument_validation():
         poisson_arrivals("net", rate_per_s=0, horizon_s=1.0, seed=0)
     with pytest.raises(ValueError):
         uniform_arrivals("net", rate_per_s=5, horizon_s=0)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_generators_reject_non_finite_rate_and_horizon(bad):
+    with pytest.raises(ValueError, match="rate_per_s: must be finite"):
+        poisson_arrivals("net", rate_per_s=bad, horizon_s=1.0, seed=0)
+    with pytest.raises(ValueError, match="horizon_s: must be finite"):
+        poisson_arrivals("net", rate_per_s=5, horizon_s=bad, seed=0)
+    with pytest.raises(ValueError, match="rate_per_s: must be finite"):
+        uniform_arrivals("net", rate_per_s=bad, horizon_s=1.0)
+    with pytest.raises(ValueError, match="horizon_s: must be finite"):
+        uniform_arrivals("net", rate_per_s=5, horizon_s=bad)

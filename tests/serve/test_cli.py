@@ -1,6 +1,10 @@
 """The serving CLI: table output, byte-identical JSON, usage errors."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -64,3 +68,30 @@ def test_bad_arguments_are_usage_errors():
         main(["--workload", "alexnet", "--rate", "10", "--slo-ms", "-5"])
     with pytest.raises(SystemExit):
         main(["--workload", "alexnet", "--rate", "10", "--schemes", "BP,BP"])
+
+
+@pytest.mark.parametrize(
+    "argv,field",
+    [
+        (["--workload", "alexnet", "--rate", "nan"], "rate_per_s"),
+        (["--workload", "alexnet", "--rate", "inf"], "rate_per_s"),
+        (["--workload", "alexnet", "--rate", "inf", "--horizon-s", "0.01"], "rate_per_s"),
+        (["--workload", "alexnet", "--rate", "10", "--horizon-s", "nan"], "horizon_s"),
+        (["--workload", "alexnet", "--rate", "10", "--arrivals", "uniform", "--horizon-s", "inf"], "horizon_s"),
+    ],
+)
+def test_non_finite_numbers_exit_2_naming_the_field(argv, field):
+    # NaN slips past ``x <= 0`` guards and inf past ``x > 0``; either
+    # used to hang the arrival generator or yield an empty "success".
+    src = Path(__file__).resolve().parents[2] / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = f"{src}{os.pathsep}" + env.get("PYTHONPATH", "")
+    proc = subprocess.run(
+        [sys.executable, "-m", "repro.serve", *argv],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert field in proc.stderr and "must be finite" in proc.stderr

@@ -14,7 +14,7 @@ from repro.serve.batching import make_batcher
 from repro.serve.costs import ServiceCost
 from repro.serve.executor import ServeExecutor
 from repro.serve.queueing import make_queue
-from repro.serve.requests import RequestStatus
+from repro.serve.requests import Request, RequestStatus
 from repro.system.battery import Battery
 
 
@@ -261,3 +261,15 @@ def test_arrival_list_order_does_not_change_the_ledger():
         shuffled = list(arrivals)
         random.Random(seed).shuffle(shuffled)
         assert run(shuffled).ledger_text() == baseline
+
+
+def test_duplicate_req_id_is_rejected_before_serving():
+    # Two queued requests sharing an id used to leave the queue together
+    # at expiry, and the run died mid-way on request conservation.
+    arrivals = [
+        Request(req_id=0, workload="net", arrival_s=0.0, deadline_s=0.05),
+        Request(req_id=3, workload="net", arrival_s=0.01, deadline_s=0.5),
+        Request(req_id=3, workload="net", arrival_s=0.02, deadline_s=0.03),
+    ]
+    with pytest.raises(ValueError, match="duplicate req_id 3"):
+        _executor(batcher=make_batcher("static", 8)).run(arrivals)

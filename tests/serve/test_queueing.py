@@ -75,9 +75,10 @@ def test_expire_fast_path_without_deadlines():
     for i in range(4):
         q.push(_req(i, 0.1 * i))
     # No queued request carries a deadline: expire must be a no-op.
-    assert q._deadline_count == 0
+    assert q.next_deadline_s is None
     assert q.expire(100.0) == []
     assert q.depth == 4
+    assert [r.req_id for r in q.peek_all()] == [0, 1, 2, 3]
 
 
 def test_deadline_count_tracks_push_expire_take():
@@ -85,13 +86,17 @@ def test_deadline_count_tracks_push_expire_take():
     q.push(_req(0, 0.0, deadline=1.0))
     q.push(_req(1, 0.0))
     q.push(_req(2, 0.0, deadline=5.0))
-    assert q._deadline_count == 2
+    assert q.next_deadline_s == 1.0
     expired = q.expire(2.0)
     assert [r.req_id for r in expired] == [0]
-    assert q._deadline_count == 1
+    assert q.next_deadline_s == 5.0
+    assert q.depth == 2
     taken = q.take(q.depth)
     assert {r.req_id for r in taken} == {1, 2}
-    assert q._deadline_count == 0
+    assert q.next_deadline_s is None
+    # Nothing that left through take can come back through expire.
+    assert q.expire(100.0) == []
+    assert q.depth == 0
 
 
 def test_insort_keeps_equal_urgency_in_id_order():
@@ -100,3 +105,78 @@ def test_insort_keeps_equal_urgency_in_id_order():
     q.push(_req(1, 0.0, deadline=1.0))
     q.push(_req(3, 0.0, deadline=1.0))
     assert [r.req_id for r in q.peek_all()] == [1, 3, 5]
+
+
+def test_expire_returns_service_order():
+    q = DeadlineQueue(capacity=8)
+    q.push(_req(4, 0.3, deadline=1.5))
+    q.push(_req(2, 0.1, deadline=1.0))
+    q.push(_req(7, 0.2, deadline=1.0))
+    q.push(_req(1, 0.0, deadline=9.0))
+    expired = q.expire(2.0)
+    assert [r.req_id for r in expired] == [2, 7, 4]
+    assert [r.req_id for r in q.peek_all()] == [1]
+    f = FifoQueue(capacity=8)
+    f.push(_req(3, 0.2, deadline=0.5))
+    f.push(_req(0, 0.1, deadline=0.9))
+    f.push(_req(9, 0.0, deadline=0.7))
+    assert [r.req_id for r in f.expire(1.0)] == [9, 0, 3]
+
+
+def test_expire_is_strict_at_the_deadline():
+    q = FifoQueue(capacity=4)
+    q.push(_req(0, 0.0, deadline=1.0))
+    assert q.expire(1.0) == []
+    assert q.next_deadline_s == 1.0
+    assert [r.req_id for r in q.expire(1.0000001)] == [0]
+
+
+def test_taken_requests_never_expire():
+    q = FifoQueue(capacity=8)
+    for i in range(4):
+        q.push(_req(i, 0.1 * i, deadline=1.0 + i))
+    taken = q.take(2)
+    assert [r.req_id for r in taken] == [0, 1]
+    # Their heap entries linger until they surface, then vanish.
+    assert q.next_deadline_s == 3.0
+    assert [r.req_id for r in q.expire(10.0)] == [2, 3]
+    assert q.depth == 0
+    assert q.next_deadline_s is None
+
+
+def test_workload_filtered_take_keeps_other_deadlines():
+    q = FifoQueue(capacity=8)
+    q.push(_req(0, 0.0, workload="a", deadline=1.0))
+    q.push(_req(1, 0.1, workload="b", deadline=2.0))
+    q.push(_req(2, 0.2, workload="a", deadline=3.0))
+    assert [r.req_id for r in q.take(8, workload="a")] == [0, 2]
+    assert q.next_deadline_s == 2.0
+    assert [r.req_id for r in q.expire(2.5)] == [1]
+
+
+def test_expire_removes_exactly_the_expired_objects():
+    # Two queued requests share an id; only the one past its deadline goes.
+    q = FifoQueue(capacity=4)
+    early = _req(7, 0.0, deadline=1.0)
+    late = _req(7, 0.1, deadline=5.0)
+    q.push(early)
+    q.push(late)
+    expired = q.expire(2.0)
+    assert len(expired) == 1 and expired[0] is early
+    assert q.depth == 1 and q.oldest() is late
+    assert q.next_deadline_s == 5.0
+
+
+def test_deadline_heap_stays_bounded_by_depth():
+    q = FifoQueue(capacity=1024)
+    req_id = 0
+    for cycle in range(2000):
+        now = cycle * 1e-3
+        for _ in range(3):
+            # Long deadlines: every entry leaves through take, as garbage.
+            q.push(_req(req_id, now, deadline=now + 100.0))
+            req_id += 1
+        q.expire(now)
+        q.take(3 if cycle % 7 else 2)
+        assert len(q._deadlines) <= 2 * q.depth + 8
+    assert q.admitted == req_id
