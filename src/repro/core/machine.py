@@ -62,7 +62,7 @@ class UsystolicMachine:
             return state
         if not 0 <= instr.tile < self.tiling.num_tiles:
             raise ValueError(f"tile index {instr.tile} outside the fold plan")
-        tile = self.tiling.tiles[instr.tile]
+        tile = self.tiling.tile(instr.tile)
         if instr.opcode is Opcode.LOAD_WEIGHTS:
             if instr.count != tile.rows * tile.cols:
                 raise ValueError(

@@ -21,6 +21,13 @@ import json
 import sys
 from pathlib import Path
 
+from ..analysis.contracts import (
+    require_finite,
+    require_in_range,
+    require_non_negative,
+    require_positive,
+)
+from ..core.config import ArrayConfig
 from ..eval.report import format_table
 from ..jobs.store import ResultStore
 from ..schemes import ComputeScheme
@@ -171,6 +178,36 @@ def _load_layers(workload: str):
     return mlperf_suite()[workload]
 
 
+def _check_numbers(args: argparse.Namespace) -> None:
+    """Reject NaN, infinite, zero or negative numeric flags by name."""
+    require_positive(
+        "serve", max_batch=args.max_batch, queue_capacity=args.queue_capacity
+    )
+    require_finite("serve", max_wait_ms=args.max_wait_ms)
+    require_non_negative("serve", max_wait_ms=args.max_wait_ms)
+    optional = {
+        "slo_ms": args.slo_ms,
+        "power_cap_w": args.power_cap_w,
+        "battery_j": args.battery_j,
+    }
+    given = {name: value for name, value in optional.items() if value is not None}
+    require_finite("serve", **given)
+    require_positive("serve", **given)
+    if args.act_frac is not None:
+        require_in_range("serve", "act_frac", args.act_frac, 0.0, 1.0)
+
+
+def _array_for(scheme: ComputeScheme, args: argparse.Namespace) -> ArrayConfig:
+    """The validated array of ``scheme`` on the chosen platform."""
+    ebt = args.ebt if scheme.supports_early_termination else None
+    act_frac = (
+        getattr(args, "act_frac", None) if scheme.value_dependent_latency else None
+    )
+    return _PLATFORMS[args.platform].array(
+        scheme, bits=args.bits, ebt=ebt, act_frac=act_frac
+    ).validate()
+
+
 def serve_one(
     scheme: ComputeScheme,
     args: argparse.Namespace,
@@ -179,13 +216,7 @@ def serve_one(
 ) -> ServeMetrics:
     """Run the request stream against one compute scheme's array."""
     platform: Platform = _PLATFORMS[args.platform]
-    ebt = args.ebt if scheme.supports_early_termination else None
-    act_frac = (
-        getattr(args, "act_frac", None) if scheme.value_dependent_latency else None
-    )
-    array = platform.array(
-        scheme, bits=args.bits, ebt=ebt, act_frac=act_frac
-    ).validate()
+    array = _array_for(scheme, args)
     memory = platform.memory_for(scheme).validate()
     model = NetworkCostModel(
         name=args.workload,
@@ -243,9 +274,10 @@ def main(argv: list[str] | None = None) -> int:
     # a clean usage error instead of a traceback mid-simulation.
     try:
         schemes = _parse_schemes(args.schemes)
+        _check_numbers(args)
+        for scheme in schemes:
+            _array_for(scheme, args)
         slo_s = None if args.slo_ms is None else args.slo_ms * 1e-3
-        if slo_s is not None and slo_s <= 0:
-            raise ValueError(f"--slo-ms must be positive, got {args.slo_ms}")
         if args.arrivals == "poisson":
             arrivals = poisson_arrivals(
                 args.workload,

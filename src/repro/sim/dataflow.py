@@ -19,6 +19,10 @@ default (``row_lag = col_lag = 1``) reproduces the paper's skewed
 weight-stationary numbers above, while DiP's diagonal-input geometry
 (both lags zero) drops the ``cols - 1`` preload stagger and the whole
 drain.
+
+A layer's schedule sums its folds; :func:`schedule_layer` evaluates
+:func:`schedule_tile` once per fold class (:mod:`repro.gemm.tiling`) times
+its multiplicity, so its cost does not grow with the fold count.
 """
 
 from __future__ import annotations
@@ -86,18 +90,23 @@ def schedule_layer(
     tiling: Tiling,
     mac_cycles: int,
     geometry: DataflowGeometry = WEIGHT_STATIONARY_SKEWED,
+    batch: int = 1,
 ) -> LayerSchedule:
-    """Sum the fold schedules of a whole GEMM (drains overlap preloads)."""
+    """Sum the fold schedules of a whole GEMM (drains overlap preloads).
+
+    Every fold pays preload + streaming; only the last fold's drain is
+    exposed.  ``batch`` requests share each fold's preloaded weights.
+    """
+    if batch < 1:
+        raise ValueError(f"batch must be >= 1, got {batch}")
     compute = 0
     active = 0
-    last_drain = 0
-    for tile in tiling:
+    for tile, count in tiling.fold_classes(batch):
         ts = schedule_tile(tile, mac_cycles, geometry)
-        compute += ts.preload_cycles + ts.stream_cycles
-        last_drain = ts.drain_cycles
-        active += ts.active_pe_mac_cycles
+        compute += count * (ts.preload_cycles + ts.stream_cycles)
+        active += count * ts.active_pe_mac_cycles
     return LayerSchedule(
-        compute_cycles=compute + last_drain,
+        compute_cycles=compute + ts.drain_cycles,
         active_pe_mac_cycles=active,
         num_tiles=tiling.num_tiles,
         mac_cycles=mac_cycles,

@@ -95,3 +95,44 @@ def test_non_finite_numbers_exit_2_naming_the_field(argv, field):
     )
     assert proc.returncode == 2, proc.stderr
     assert field in proc.stderr and "must be finite" in proc.stderr
+
+
+HOSTILE_BASE = ["--workload", "alexnet", "--rate", "200", "--horizon-s", "0.05"]
+
+
+@pytest.mark.parametrize(
+    "flags,field",
+    [
+        (["--max-batch", "0"], "max_batch"),
+        (["--queue-capacity", "0"], "queue_capacity"),
+        (["--slo-ms", "nan"], "slo_ms"),
+        (["--slo-ms", "inf"], "slo_ms"),
+        (["--slo-ms", "-5"], "slo_ms"),
+        (["--max-wait-ms", "nan"], "max_wait_ms"),
+        (["--max-wait-ms", "-1"], "max_wait_ms"),
+        (["--power-cap-w", "nan"], "power_cap_w"),
+        (["--power-cap-w", "0"], "power_cap_w"),
+        (["--act-frac", "nan"], "act_frac"),
+        (["--act-frac", "1.5"], "act_frac"),
+        (["--battery-j", "nan"], "battery_j"),
+        (["--battery-j", "0"], "battery_j"),
+        (["--bits", "0"], "bits"),
+        (["--ebt", "0"], "ebt"),
+    ],
+)
+def test_hostile_numbers_exit_2_naming_the_flag(flags, field):
+    # Each used to die with a bare ValueError traceback (exit 1) or, for
+    # NaN, to exit 0 and print a table.
+    src = Path(__file__).resolve().parents[2] / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = f"{src}{os.pathsep}" + env.get("PYTHONPATH", "")
+    proc = subprocess.run(
+        [sys.executable, "-m", "repro.serve", *HOSTILE_BASE, *flags],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert "error:" in proc.stderr and field in proc.stderr

@@ -1,10 +1,11 @@
-"""Differential tests: the batched-N fast path vs the per-tile engine.
+"""Differential tests: batched-N simulation vs explicitly batched GEMMs.
 
-The closed forms in ``repro.sim.batch`` must be *exactly* the per-tile
-schedule — not approximately: ``simulate_layer_batched(batch=1)`` is
-byte-equal to ``simulate_layer``, and at batch B it is byte-equal to
-running the slow path on an explicitly batched matmul (``N`` scaled by
-B).  Any drift between the two paths is a modelling bug.
+Folding B requests into the GEMM ``N`` dimension must be *exactly* the
+batch-1 model of the wider GEMM — not approximately:
+``simulate_layer_batched(batch=1)`` is byte-equal to ``simulate_layer``,
+and at batch B it is byte-equal to ``simulate_layer`` on an explicitly
+batched matmul (``N`` scaled by B).  The per-fold schedule oracle lives in
+``test_fold_lattice.py``.
 """
 
 import dataclasses
